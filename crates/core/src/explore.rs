@@ -1,7 +1,9 @@
 //! The stateless explorer: repeatedly executes the program under the
 //! control of a strategy (and optionally the fair scheduler), re-creating
-//! the program from a factory for every execution — no program state is
-//! ever stored across executions.
+//! the program for every execution or resuming it from a snapshot on the
+//! schedule prefix the execution shares with the previous one. No
+//! visited-state set is kept: the only states stored are at most 64
+//! snapshots along the current execution.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -273,6 +275,8 @@ pub struct Explorer<P, F, St> {
 /// starts from the factory again.
 struct SysPool<P> {
     enabled: bool,
+    /// A reset has succeeded: the system supports pooling.
+    confirmed: bool,
     template: Option<P>,
     spare: Option<P>,
 }
@@ -281,9 +285,18 @@ impl<P: TransitionSystem> SysPool<P> {
     fn new(enabled: bool) -> Self {
         SysPool {
             enabled,
+            confirmed: false,
             template: None,
             spare: None,
         }
+    }
+
+    /// A copy of `src` (a snapshot along the current execution), built
+    /// by resetting the spare instance; `None` if the system refuses
+    /// the reset.
+    fn acquire_copy(&mut self, factory: &mut impl FnMut() -> P, src: &P) -> Option<P> {
+        let mut sys = self.spare.take().unwrap_or_else(factory);
+        sys.reset_from(src).then_some(sys)
     }
 
     /// A fresh-for-this-execution system: the reset spare when pooling is
@@ -299,6 +312,7 @@ impl<P: TransitionSystem> SysPool<P> {
         match self.spare.take() {
             Some(mut sys) => {
                 if sys.reset_from(template) {
+                    self.confirmed = true;
                     sys
                 } else {
                     self.enabled = false;
@@ -360,6 +374,340 @@ struct ExecScratch {
     footprints: Vec<chess_kernel::Footprint>,
     flushes: Vec<bool>,
     fp: chess_kernel::Footprint,
+}
+
+/// Snapshots are taken at depths that are multiples of the stride,
+/// which starts here and doubles whenever the stack fills up.
+const SNAPSHOT_STRIDE: usize = 4;
+
+/// The most snapshots alive at once.
+const MAX_SNAPSHOTS: usize = 64;
+
+/// [`PointHeader::flags`] bits.
+const PREV_ENABLED: u8 = 1;
+const PREV_SCHEDULABLE: u8 = 2;
+const FAIRNESS_FILTERED: u8 = 4;
+const HAS_FOOTPRINTS: u8 = 8;
+const HAS_FLUSHES: u8 = 16;
+
+/// `PointHeader::prev` of a point without a previous thread.
+const NO_PREV: u32 = u32::MAX;
+
+/// One recorded schedule point of the previous execution, fixed-size:
+/// its options (and their footprints and flush flags, when it had any)
+/// sit in the arenas of [`PrefixReuse`], ending at `end`.
+#[derive(Clone, Copy)]
+struct PointHeader {
+    end: u32,
+    prev: u32,
+    flags: u8,
+    /// The decision the execution took here.
+    decision: Decision,
+}
+
+/// The state of one execution at one depth, as prefix reuse restores it.
+struct Snapshot<P> {
+    depth: usize,
+    sys: P,
+    fair: Option<FairScheduler>,
+    steps_since_yield: Vec<u64>,
+    prev: Option<chess_kernel::ThreadId>,
+    /// The enabled set of `sys`.
+    es: TidSet,
+}
+
+/// A system restored to the end of a shared prefix: the system, its
+/// fair scheduler, `prev`, and whether `scratch.es_after` holds its
+/// enabled set.
+type Restored<P> = (
+    P,
+    Option<FairScheduler>,
+    Option<chess_kernel::ThreadId>,
+    bool,
+);
+
+/// What an execution resumed at the end of a shared prefix does there.
+enum Next {
+    /// Take the strategy's pick (`None`: abandon).
+    Pick(Option<Decision>),
+    /// Stop: the in-execution poll fired.
+    Interrupted(BudgetKind),
+}
+
+/// Prefix reuse: DFS and context-bounded searches run executions that
+/// share most of their schedule with the previous one, and a
+/// deterministic system reaches the same states along a shared prefix.
+/// Instead of re-executing that prefix from the initial state, an
+/// execution restores a snapshot on it.
+///
+/// Kept: the previous execution's schedule points and decisions (to find
+/// where the next one departs without a new strategy method), the
+/// cycle-map fingerprint of each depth, and a bounded stack of
+/// snapshots along the current execution. No state of another execution
+/// and no visited-state set is kept, so the search stays stateless.
+struct PrefixReuse<P> {
+    /// Pooling is on, the observer does not need every state, and the
+    /// system has not refused a reset.
+    on: bool,
+    /// The point cache describes a whole, unpanicked execution.
+    valid: bool,
+    /// Record this execution's points.
+    recording: bool,
+    /// Take snapshots in this execution: its predecessor reused a prefix
+    /// at least one stride deep.
+    snapshotting: bool,
+    /// Snapshots work: no reset into or from one has been refused.
+    snaps_ok: bool,
+    /// Prefix depth the current execution reused.
+    reused: usize,
+    points: Vec<PointHeader>,
+    options: Vec<Decision>,
+    flushes: Vec<bool>,
+    /// Footprints parallel to `options`; slots past a point without
+    /// footprints are stale but keep their allocations.
+    footprints: Vec<chess_kernel::Footprint>,
+    /// The cycle-map fingerprint of each depth (cycle detection on).
+    fps: Vec<u64>,
+    /// Snapshot slots; the first `live` are valid, in depth order.
+    snaps: Vec<Snapshot<P>>,
+    live: usize,
+    stride: usize,
+    /// The last execution's fair scheduler, recycled by restores.
+    spare_fair: Option<FairScheduler>,
+}
+
+impl<P: TransitionSystem> PrefixReuse<P> {
+    fn new(on: bool) -> Self {
+        PrefixReuse {
+            on,
+            valid: false,
+            recording: false,
+            snapshotting: false,
+            snaps_ok: true,
+            reused: 0,
+            points: Vec::new(),
+            options: Vec::new(),
+            flushes: Vec::new(),
+            footprints: Vec::new(),
+            fps: Vec::new(),
+            snaps: Vec::new(),
+            live: 0,
+            stride: SNAPSHOT_STRIDE,
+            spare_fair: None,
+        }
+    }
+
+    /// Forgets the previous execution (an execution starting from the
+    /// initial state).
+    fn clear(&mut self) {
+        self.truncate_points(0);
+        self.fps.clear();
+        self.live = 0;
+        self.stride = SNAPSHOT_STRIDE;
+    }
+
+    /// Keeps the points of depths `0..len`.
+    fn truncate_points(&mut self, len: usize) {
+        self.points.truncate(len);
+        let end = self.points.last().map_or(0, |h| h.end as usize);
+        self.options.truncate(end);
+        self.flushes.truncate(end);
+    }
+
+    /// Records the point of the next depth and the decision taken there.
+    #[inline]
+    fn record(&mut self, point: &SchedulePoint<'_>, d: Decision) {
+        debug_assert_eq!(point.depth, self.points.len());
+        let start = self.options.len();
+        let Ok(end) = u32::try_from(start + point.options.len()) else {
+            // Past 2^32 options: keep the prefix recorded so far.
+            self.recording = false;
+            return;
+        };
+        let mut flags = 0;
+        if point.prev_enabled {
+            flags |= PREV_ENABLED;
+        }
+        if point.prev_schedulable {
+            flags |= PREV_SCHEDULABLE;
+        }
+        if point.fairness_filtered {
+            flags |= FAIRNESS_FILTERED;
+        }
+        self.options.extend_from_slice(point.options);
+        if point.flushes.is_empty() {
+            self.flushes.resize(end as usize, false);
+        } else {
+            flags |= HAS_FLUSHES;
+            self.flushes.extend_from_slice(point.flushes);
+        }
+        if !point.footprints.is_empty() {
+            flags |= HAS_FOOTPRINTS;
+            if self.footprints.len() < start {
+                self.footprints
+                    .resize_with(start, chess_kernel::Footprint::universal);
+            }
+            for (i, fp) in point.footprints.iter().enumerate() {
+                match self.footprints.get_mut(start + i) {
+                    Some(slot) => slot.clone_from(fp),
+                    None => self.footprints.push(fp.clone()),
+                }
+            }
+        }
+        self.points.push(PointHeader {
+            end,
+            prev: point.prev.map_or(NO_PREV, |t| t.index() as u32),
+            flags,
+            decision: d,
+        });
+    }
+
+    /// The recorded point at depth `j`.
+    fn point(&self, j: usize) -> SchedulePoint<'_> {
+        let h = self.points[j];
+        let start = if j == 0 {
+            0
+        } else {
+            self.points[j - 1].end as usize
+        };
+        let range = start..h.end as usize;
+        SchedulePoint {
+            depth: j,
+            options: &self.options[range.clone()],
+            footprints: if h.flags & HAS_FOOTPRINTS != 0 {
+                &self.footprints[range.clone()]
+            } else {
+                &[]
+            },
+            prev: (h.prev != NO_PREV).then(|| chess_kernel::ThreadId::new(h.prev as usize)),
+            prev_enabled: h.flags & PREV_ENABLED != 0,
+            prev_schedulable: h.flags & PREV_SCHEDULABLE != 0,
+            fairness_filtered: h.flags & FAIRNESS_FILTERED != 0,
+            flushes: if h.flags & HAS_FLUSHES != 0 {
+                &self.flushes[range]
+            } else {
+                &[]
+            },
+        }
+    }
+
+    /// Snapshots the state at `depth` (before its pick) if this
+    /// execution takes snapshots and `depth` is a stride multiple past
+    /// the deepest live one. A full stack first drops every other
+    /// snapshot and doubles the stride.
+    #[inline]
+    fn snapshot(
+        &mut self,
+        depth: usize,
+        sys: &P,
+        fair: &Option<FairScheduler>,
+        scratch: &ExecScratch,
+        prev: Option<chess_kernel::ThreadId>,
+        factory: &mut impl FnMut() -> P,
+    ) {
+        if !self.snapshotting || !self.snaps_ok || depth == 0 || !depth.is_multiple_of(self.stride)
+        {
+            return;
+        }
+        if self.live > 0 && self.snaps[self.live - 1].depth >= depth {
+            return;
+        }
+        self.push_snapshot(depth, sys, fair, scratch, prev, factory);
+    }
+
+    #[inline(never)]
+    fn push_snapshot(
+        &mut self,
+        depth: usize,
+        sys: &P,
+        fair: &Option<FairScheduler>,
+        scratch: &ExecScratch,
+        prev: Option<chess_kernel::ThreadId>,
+        factory: &mut impl FnMut() -> P,
+    ) {
+        if self.live == MAX_SNAPSHOTS {
+            self.stride *= 2;
+            let mut kept = 0;
+            for i in 0..self.live {
+                if self.snaps[i].depth.is_multiple_of(self.stride) {
+                    self.snaps.swap(i, kept);
+                    kept += 1;
+                }
+            }
+            self.live = kept;
+            if !depth.is_multiple_of(self.stride) {
+                return;
+            }
+        }
+        if self.live == self.snaps.len() {
+            self.snaps.push(Snapshot {
+                depth,
+                sys: factory(),
+                fair: None,
+                steps_since_yield: Vec::new(),
+                prev,
+                es: TidSet::new(),
+            });
+        }
+        let slot = &mut self.snaps[self.live];
+        if !slot.sys.reset_from(sys) {
+            self.snaps_ok = false;
+            self.live = 0;
+            return;
+        }
+        slot.depth = depth;
+        slot.fair.clone_from(fair);
+        slot.steps_since_yield
+            .clone_from(&scratch.steps_since_yield);
+        slot.prev = prev;
+        slot.es.clone_from(&scratch.es);
+        self.live += 1;
+    }
+}
+
+/// Loads the enabled set of the current state into `scratch.es`: the
+/// post-step set of the previous step when there was one (nothing steps
+/// in between), a fresh query otherwise.
+#[inline]
+fn load_es<P: TransitionSystem>(sys: &P, scratch: &mut ExecScratch, have_es: bool) {
+    if have_es {
+        std::mem::swap(&mut scratch.es, &mut scratch.es_after);
+    } else {
+        sys.enabled_set_into(&mut scratch.es);
+    }
+}
+
+/// Executes decision `d` from the state whose enabled set is
+/// `scratch.es`, and the bookkeeping every step needs: the post-step
+/// enabled set, the fair scheduler, the good-samaritan counters and
+/// `prev`.
+#[inline]
+fn advance<P: TransitionSystem>(
+    sys: &mut P,
+    fair: Option<&mut FairScheduler>,
+    scratch: &mut ExecScratch,
+    prev: &mut Option<chess_kernel::ThreadId>,
+    d: Decision,
+) {
+    let kind = sys.step(d.thread, d.choice);
+    sys.enabled_set_into(&mut scratch.es_after);
+    if let Some(f) = fair {
+        f.grow(sys.thread_count());
+        f.on_scheduled(d.thread, &scratch.es, &scratch.es_after, kind.is_yield());
+    }
+    scratch.steps_since_yield.resize(sys.thread_count(), 0);
+    if kind.is_yield() {
+        scratch.steps_since_yield[d.thread.index()] = 0;
+    } else {
+        scratch.steps_since_yield[d.thread.index()] += 1;
+    }
+    // Flush steps are transparent to continuation tracking: `prev` keeps
+    // pointing at the last *program* thread, so a buffer drain between
+    // two steps of one thread does not make the continuation look like a
+    // paid preemption under CB.
+    if !sys.is_flush(d.thread) {
+        *prev = Some(d.thread);
+    }
 }
 
 impl<P, F, St> Explorer<P, F, St>
@@ -495,6 +843,7 @@ where
         let mut schedule_buf: Vec<Decision> = Vec::new();
         let mut pool = SysPool::new(self.config.pooling);
         let mut scratch = ExecScratch::default();
+        let mut reuse = PrefixReuse::new(self.config.pooling && !obs.needs_every_state());
         let outcome = loop {
             if let Some(max) = self.config.max_executions {
                 if stats.executions >= max {
@@ -524,6 +873,7 @@ where
                     &mut schedule_buf,
                     &mut pool,
                     &mut scratch,
+                    &mut reuse,
                 )
             });
             let end = match caught {
@@ -578,6 +928,7 @@ where
         SearchReport { outcome, stats }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn one_execution(
         &mut self,
         obs: &mut dyn Observer<P>,
@@ -586,225 +937,258 @@ where
         schedule: &mut Vec<Decision>,
         pool: &mut SysPool<P>,
         scratch: &mut ExecScratch,
+        reuse: &mut PrefixReuse<P>,
     ) -> ExecEnd {
         let execution = stats.executions;
-        let mut sys = pool.acquire(&mut self.factory);
-        let mut fair = self
-            .config
-            .fairness
-            .map(|fc| FairScheduler::with_k(sys.thread_count(), fc.k).with_scope(fc.scope));
-        // Steps each thread has taken since its last yield, for the
-        // good-samaritan heuristic.
-        scratch.steps_since_yield.clear();
-        scratch.steps_since_yield.resize(sys.thread_count(), 0);
-        // Cycle detection: (program ⊕ scheduler) fingerprint → step index,
-        // plus per-state enabled sets to classify detected cycles.
-        scratch.seen.clear();
+        reuse.on &= pool.enabled;
+        let resume = if reuse.on && reuse.valid && pool.confirmed && !reuse.points.is_empty() {
+            Some(self.feed_prefix(reuse, deadline))
+        } else {
+            None
+        };
+        // A panic below leaves the point cache half-written: it becomes
+        // valid again only when this execution returns.
+        reuse.valid = false;
+        reuse.snapshotting = reuse.reused >= reuse.stride;
+        reuse.recording = reuse.on;
         let mut hist_len = 0usize;
-        let mut prev: Option<chess_kernel::ThreadId> = None;
-        let mut depth = 0usize;
         let mut have_es = false;
-
-        obs.on_state(&sys, 0);
-        if self.config.detect_cycles {
-            scratch
-                .seen
-                .insert(self.combined_fingerprint(&sys, fair.as_ref()), 0);
-        }
+        let mut prev: Option<chess_kernel::ThreadId> = None;
+        let mut pending = None;
+        let (mut sys, mut fair, mut depth) = match resume {
+            None => {
+                reuse.reused = 0;
+                reuse.clear();
+                let sys = pool.acquire(&mut self.factory);
+                let fair = self.new_fair(sys.thread_count());
+                // Steps each thread has taken since its last yield, for the
+                // good-samaritan heuristic.
+                scratch.steps_since_yield.clear();
+                scratch.steps_since_yield.resize(sys.thread_count(), 0);
+                // Cycle detection: (program ⊕ scheduler) fingerprint → step
+                // index, plus per-state enabled sets to classify detected
+                // cycles.
+                scratch.seen.clear();
+                obs.on_state(&sys, 0);
+                if self.config.detect_cycles {
+                    let fp = self.combined_fingerprint(&sys, fair.as_ref());
+                    scratch.seen.insert(fp, 0);
+                    if reuse.on {
+                        reuse.fps.push(fp);
+                    }
+                }
+                (sys, fair, 0)
+            }
+            Some((j, next)) => {
+                reuse.reused = j;
+                let (sys, fair, p, es_known) =
+                    self.restore_prefix(j, reuse, pool, scratch, schedule);
+                prev = p;
+                have_es = es_known;
+                if self.config.detect_cycles {
+                    hist_len = j;
+                }
+                // Counters stay logical: the restored prefix counts as if
+                // it had been stepped.
+                stats.transitions += j as u64;
+                pending = Some(next);
+                (sys, fair, j)
+            }
+        };
 
         let end = loop {
-            match sys.status() {
-                SystemStatus::Running => {}
-                SystemStatus::Terminated => {
-                    stats.terminating += 1;
-                    break ExecEnd::Done;
-                }
-                SystemStatus::Deadlock => {
-                    stats.deadlocks += 1;
-                    if self.config.deadlock_is_error {
-                        let blocked: Vec<String> = (0..sys.thread_count())
-                            .map(chess_kernel::ThreadId::new)
-                            .filter(|&t| !sys.enabled(t))
-                            .map(|t| sys.thread_name(t))
-                            .collect();
-                        break ExecEnd::Error(SearchOutcome::Deadlock(Counterexample {
-                            kind: CounterexampleKind::Deadlock,
-                            message: format!("no thread enabled; blocked: {blocked:?}"),
+            let d = if let Some(next) = pending.take() {
+                // The state the prefix ends in: the previous execution
+                // already checked its status and `feed_prefix` ran its
+                // poll and its pick.
+                let d = match next {
+                    Next::Interrupted(kind) => {
+                        reuse.truncate_points(depth);
+                        break ExecEnd::Interrupted(kind);
+                    }
+                    Next::Pick(None) => {
+                        reuse.truncate_points(depth);
+                        stats.abandoned += 1;
+                        break ExecEnd::Done;
+                    }
+                    Next::Pick(Some(d)) => d,
+                };
+                load_es(&sys, scratch, have_es);
+                reuse.snapshot(depth, &sys, &fair, scratch, prev, &mut self.factory);
+                reuse.points[depth].decision = d;
+                d
+            } else {
+                match sys.status() {
+                    SystemStatus::Running => {}
+                    SystemStatus::Terminated => {
+                        stats.terminating += 1;
+                        break ExecEnd::Done;
+                    }
+                    SystemStatus::Deadlock => {
+                        stats.deadlocks += 1;
+                        if self.config.deadlock_is_error {
+                            let blocked: Vec<String> = (0..sys.thread_count())
+                                .map(chess_kernel::ThreadId::new)
+                                .filter(|&t| !sys.enabled(t))
+                                .map(|t| sys.thread_name(t))
+                                .collect();
+                            break ExecEnd::Error(SearchOutcome::Deadlock(Counterexample {
+                                kind: CounterexampleKind::Deadlock,
+                                message: format!("no thread enabled; blocked: {blocked:?}"),
+                                schedule: std::mem::take(schedule),
+                                execution,
+                            }));
+                        }
+                        stats.terminating += 1;
+                        break ExecEnd::Done;
+                    }
+                    SystemStatus::Violation(t, message) => {
+                        stats.violations += 1;
+                        break ExecEnd::Error(SearchOutcome::SafetyViolation(Counterexample {
+                            kind: CounterexampleKind::Safety,
+                            message: format!("{}: {message}", sys.thread_name(t)),
                             schedule: std::mem::take(schedule),
                             execution,
                         }));
                     }
-                    stats.terminating += 1;
+                }
+
+                if depth >= self.config.depth_bound {
+                    if self.config.fairness.is_some() {
+                        // Under fairness, a bound hit is a divergence
+                        // warning: classify it heuristically (Section 2's
+                        // outcomes 2/3). It counts toward `divergences`,
+                        // not `nonterminating` — that counter is the unfair
+                        // baseline's wasted-cut metric (Figure 2), and
+                        // counting the same hit in both would double-book
+                        // one event.
+                        let kind = scratch
+                            .steps_since_yield
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, &s)| s >= self.config.gs_threshold)
+                            .max_by_key(|&(_, &s)| s)
+                            .map(|(i, &s)| DivergenceKind::GoodSamaritanSuspect {
+                                thread: chess_kernel::ThreadId::new(i),
+                                steps_without_yield: s,
+                            })
+                            .unwrap_or(DivergenceKind::LivelockSuspect);
+                        stats.divergences += 1;
+                        break ExecEnd::Error(SearchOutcome::Divergence(Divergence {
+                            kind,
+                            schedule: std::mem::take(schedule),
+                            execution,
+                        }));
+                    }
+                    stats.nonterminating += 1;
                     break ExecEnd::Done;
                 }
-                SystemStatus::Violation(t, message) => {
-                    stats.violations += 1;
-                    break ExecEnd::Error(SearchOutcome::SafetyViolation(Counterexample {
-                        kind: CounterexampleKind::Safety,
-                        message: format!("{}: {message}", sys.thread_name(t)),
-                        schedule: std::mem::take(schedule),
-                        execution,
-                    }));
-                }
-            }
 
-            if depth >= self.config.depth_bound {
-                if self.config.fairness.is_some() {
-                    // Under fairness, a bound hit is a divergence warning:
-                    // classify it heuristically (Section 2's outcomes 2/3).
-                    // It counts toward `divergences`, not `nonterminating`
-                    // — that counter is the unfair baseline's wasted-cut
-                    // metric (Figure 2), and counting the same hit in both
-                    // would double-book one event.
-                    let kind = scratch
-                        .steps_since_yield
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &s)| s >= self.config.gs_threshold)
-                        .max_by_key(|&(_, &s)| s)
-                        .map(|(i, &s)| DivergenceKind::GoodSamaritanSuspect {
-                            thread: chess_kernel::ThreadId::new(i),
-                            steps_without_yield: s,
-                        })
-                        .unwrap_or(DivergenceKind::LivelockSuspect);
-                    stats.divergences += 1;
-                    break ExecEnd::Error(SearchOutcome::Divergence(Divergence {
-                        kind,
-                        schedule: std::mem::take(schedule),
-                        execution,
-                    }));
+                if let Some(kind) = self.poll(depth, deadline) {
+                    break ExecEnd::Interrupted(kind);
                 }
-                stats.nonterminating += 1;
-                break ExecEnd::Done;
-            }
 
-            if depth % 4096 == 4095 {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    break ExecEnd::Interrupted(BudgetKind::Time);
-                }
-                if self.stop_requested() {
-                    break ExecEnd::Interrupted(BudgetKind::Cancelled);
-                }
-            }
-
-            // The post-step enabled set of the previous iteration IS this
-            // iteration's pre-step set — nothing steps in between.
-            if have_es {
-                std::mem::swap(&mut scratch.es, &mut scratch.es_after);
-            } else {
-                sys.enabled_set_into(&mut scratch.es);
-            }
-            let es = &scratch.es;
-            let schedulable: &TidSet = match &fair {
-                Some(f) => {
-                    f.schedulable_into(es, &mut scratch.schedulable);
-                    &scratch.schedulable
-                }
-                None => es,
-            };
-            debug_assert_eq!(
-                schedulable.is_empty(),
-                es.is_empty(),
-                "Theorem 3: T empty iff ES empty"
-            );
-            scratch.options.clear();
-            // Per-option footprints, computed only for strategies that
-            // apply partial-order reduction. Yielding options are forced
-            // universal: a yield mutates the fair scheduler's priority
-            // state, so it commutes with nothing and must never sleep.
-            // The footprint buffers persist across steps; only the first
-            // `n_fps` are live this step.
-            let want_fps = self.strategy.wants_footprints();
-            let mut n_fps = 0usize;
-            // Flush flags parallel to `options`, materialized only when a
-            // flusher lane is actually schedulable (never under SC): the
-            // strategies treat an empty slice as all-false.
-            scratch.flushes.clear();
-            let mut any_flush = false;
-            for t in schedulable.iter() {
-                if want_fps {
-                    if sys.is_yielding(t) {
-                        scratch.fp.make_universal();
-                    } else {
-                        // Every transition writes its own thread's state
-                        // (pc, locals), so decisions of one thread are
-                        // pairwise dependent — without this, the two
-                        // branches of a data choice would look independent
-                        // and sleep sets would prune one of them.
-                        sys.footprint_into(t, &mut scratch.fp);
-                        scratch.fp.push(
-                            chess_kernel::ObjectRef::Thread(t),
-                            chess_kernel::AccessKind::Write,
-                        );
+                load_es(&sys, scratch, have_es);
+                reuse.snapshot(depth, &sys, &fair, scratch, prev, &mut self.factory);
+                let es = &scratch.es;
+                let schedulable: &TidSet = match &fair {
+                    Some(f) => {
+                        f.schedulable_into(es, &mut scratch.schedulable);
+                        &scratch.schedulable
                     }
-                }
-                let is_flush = sys.is_flush(t);
-                any_flush |= is_flush;
-                for c in 0..sys.branching(t) {
-                    scratch.options.push(Decision {
-                        thread: t,
-                        choice: c as u32,
-                    });
-                    scratch.flushes.push(is_flush);
-                    if want_fps {
-                        if let Some(slot) = scratch.footprints.get_mut(n_fps) {
-                            slot.clone_from(&scratch.fp);
-                        } else {
-                            scratch.footprints.push(scratch.fp.clone());
-                        }
-                        n_fps += 1;
-                    }
-                }
-            }
-            if !any_flush {
+                    None => es,
+                };
+                debug_assert_eq!(
+                    schedulable.is_empty(),
+                    es.is_empty(),
+                    "Theorem 3: T empty iff ES empty"
+                );
+                scratch.options.clear();
+                // Per-option footprints, computed only for strategies that
+                // apply partial-order reduction. Yielding options are
+                // forced universal: a yield mutates the fair scheduler's
+                // priority state, so it commutes with nothing and must
+                // never sleep. The footprint buffers persist across steps;
+                // only the first `n_fps` are live this step.
+                let want_fps = self.strategy.wants_footprints();
+                let mut n_fps = 0usize;
+                // Flush flags parallel to `options`, materialized only when
+                // a flusher lane is actually schedulable (never under SC):
+                // the strategies treat an empty slice as all-false.
                 scratch.flushes.clear();
-            }
-            let point = SchedulePoint {
-                depth,
-                options: &scratch.options,
-                footprints: &scratch.footprints[..n_fps],
-                prev,
-                prev_enabled: prev.is_some_and(|p| es.contains(p)),
-                prev_schedulable: prev.is_some_and(|p| schedulable.contains(p)),
-                fairness_filtered: schedulable.len() != es.len(),
-                flushes: &scratch.flushes,
+                let mut any_flush = false;
+                for t in schedulable.iter() {
+                    if want_fps {
+                        if sys.is_yielding(t) {
+                            scratch.fp.make_universal();
+                        } else {
+                            // Every transition writes its own thread's
+                            // state (pc, locals), so decisions of one
+                            // thread are pairwise dependent — without
+                            // this, the two branches of a data choice
+                            // would look independent and sleep sets would
+                            // prune one of them.
+                            sys.footprint_into(t, &mut scratch.fp);
+                            scratch.fp.push(
+                                chess_kernel::ObjectRef::Thread(t),
+                                chess_kernel::AccessKind::Write,
+                            );
+                        }
+                    }
+                    let is_flush = sys.is_flush(t);
+                    any_flush |= is_flush;
+                    for c in 0..sys.branching(t) {
+                        scratch.options.push(Decision {
+                            thread: t,
+                            choice: c as u32,
+                        });
+                        scratch.flushes.push(is_flush);
+                        if want_fps {
+                            if let Some(slot) = scratch.footprints.get_mut(n_fps) {
+                                slot.clone_from(&scratch.fp);
+                            } else {
+                                scratch.footprints.push(scratch.fp.clone());
+                            }
+                            n_fps += 1;
+                        }
+                    }
+                }
+                if !any_flush {
+                    scratch.flushes.clear();
+                }
+                let point = SchedulePoint {
+                    depth,
+                    options: &scratch.options,
+                    footprints: &scratch.footprints[..n_fps],
+                    prev,
+                    prev_enabled: prev.is_some_and(|p| es.contains(p)),
+                    prev_schedulable: prev.is_some_and(|p| schedulable.contains(p)),
+                    fairness_filtered: schedulable.len() != es.len(),
+                    flushes: &scratch.flushes,
+                };
+                let Some(d) = self.strategy.pick(&point) else {
+                    stats.abandoned += 1;
+                    break ExecEnd::Done;
+                };
+                debug_assert!(
+                    scratch.options.contains(&d),
+                    "strategy picked unavailable {d:?}"
+                );
+                if reuse.recording {
+                    reuse.record(&point, d);
+                }
+                d
             };
-            let Some(d) = self.strategy.pick(&point) else {
-                stats.abandoned += 1;
-                break ExecEnd::Done;
-            };
-            debug_assert!(
-                scratch.options.contains(&d),
-                "strategy picked unavailable {d:?}"
-            );
 
             // Commit the decision to the schedule *before* stepping: if
             // the workload panics inside `step`, the caller reports the
             // panic with the triggering decision already on record, so
             // replaying the schedule re-triggers it deterministically.
             schedule.push(d);
-            let kind = sys.step(d.thread, d.choice);
-            sys.enabled_set_into(&mut scratch.es_after);
+            advance(&mut sys, fair.as_mut(), scratch, &mut prev, d);
             have_es = true;
-            if let Some(f) = fair.as_mut() {
-                f.grow(sys.thread_count());
-                f.on_scheduled(d.thread, &scratch.es, &scratch.es_after, kind.is_yield());
-            }
-            scratch.steps_since_yield.resize(sys.thread_count(), 0);
-            if kind.is_yield() {
-                scratch.steps_since_yield[d.thread.index()] = 0;
-            } else {
-                scratch.steps_since_yield[d.thread.index()] += 1;
-            }
             stats.transitions += 1;
             depth += 1;
-            // Flush steps are transparent to continuation tracking: `prev`
-            // keeps pointing at the last *program* thread, so a buffer
-            // drain between two steps of one thread does not make the
-            // continuation look like a paid preemption under CB.
-            if !sys.is_flush(d.thread) {
-                prev = Some(d.thread);
-            }
             obs.on_state(&sys, depth);
 
             if self.config.detect_cycles && sys.status().is_running() {
@@ -858,12 +1242,153 @@ where
                     }));
                 }
                 scratch.seen.insert(fp, depth);
+                if reuse.on {
+                    reuse.fps.push(fp);
+                }
             }
         };
         stats.max_depth = stats.max_depth.max(depth);
         obs.on_execution_end(&sys, depth);
         pool.release(sys);
+        reuse.spare_fair = fair;
+        reuse.valid = true;
         end
+    }
+
+    /// A fresh fair scheduler for an execution starting with `threads`
+    /// threads, or `None` for the unfair baseline.
+    fn new_fair(&self, threads: usize) -> Option<FairScheduler> {
+        self.config
+            .fairness
+            .map(|fc| FairScheduler::with_k(threads, fc.k).with_scope(fc.scope))
+    }
+
+    /// The in-execution poll, run every 4096 depths: the wall-clock
+    /// budget and the stop flag.
+    #[inline]
+    fn poll(&self, depth: usize, deadline: Option<Instant>) -> Option<BudgetKind> {
+        if depth % 4096 != 4095 {
+            return None;
+        }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Some(BudgetKind::Time);
+        }
+        if self.stop_requested() {
+            return Some(BudgetKind::Cancelled);
+        }
+        None
+    }
+
+    /// Offers the previous execution's schedule points to the strategy,
+    /// in order, until its pick departs from the recorded decision, it
+    /// abandons, or the last recorded point is reached: the state that
+    /// point's step leads to must pass the status and cycle checks anew.
+    /// Returns that depth and what the execution does there. The polls
+    /// run at the depths they run at in a re-executed prefix.
+    ///
+    /// The system is deterministic, so each recorded point is exactly the
+    /// point the re-executed state would produce, and the strategy sees
+    /// the same calls it would see without prefix reuse.
+    fn feed_prefix(&mut self, reuse: &PrefixReuse<P>, deadline: Option<Instant>) -> (usize, Next) {
+        let last = reuse.points.len() - 1;
+        let mut j = 0;
+        loop {
+            if let Some(kind) = self.poll(j, deadline) {
+                return (j, Next::Interrupted(kind));
+            }
+            let point = reuse.point(j);
+            let picked = self.strategy.pick(&point);
+            debug_assert!(
+                picked.is_none_or(|d| point.options.contains(&d)),
+                "strategy picked unavailable {picked:?}"
+            );
+            if j == last || picked != Some(reuse.points[j].decision) {
+                return (j, Next::Pick(picked));
+            }
+            j += 1;
+        }
+    }
+
+    /// Brings a system to depth `j` of the previous execution: restores
+    /// the deepest snapshot at depth `≤ j` (the template when there is
+    /// none) and re-steps the recorded decisions from there, without
+    /// strategy calls or fingerprints. Rolls the cycle map back to the
+    /// fingerprints of depths `0..=j` and writes the prefix into
+    /// `schedule`; `es_history[..j]` is already the prefix's.
+    fn restore_prefix(
+        &mut self,
+        j: usize,
+        reuse: &mut PrefixReuse<P>,
+        pool: &mut SysPool<P>,
+        scratch: &mut ExecScratch,
+        schedule: &mut Vec<Decision>,
+    ) -> Restored<P> {
+        if self.config.detect_cycles {
+            debug_assert!(reuse.fps.len() > j, "cycle map shorter than the prefix");
+            // Whichever is fewer: remove the departed depths, or rebuild
+            // from the kept ones (a short prefix, as random walks share).
+            if 2 * (j + 1) < reuse.fps.len() {
+                scratch.seen.clear();
+                for (d, &fp) in reuse.fps[..=j].iter().enumerate() {
+                    scratch.seen.insert(fp, d);
+                }
+            } else {
+                for (d, fp) in reuse.fps.iter().enumerate().skip(j + 1) {
+                    if scratch.seen.get(fp) == Some(&d) {
+                        scratch.seen.remove(fp);
+                    }
+                }
+            }
+            reuse.fps.truncate(j + 1);
+        }
+        reuse.truncate_points(j + 1);
+        reuse.live = reuse.snaps[..reuse.live].partition_point(|s| s.depth <= j);
+        if reuse.live == 0 {
+            reuse.stride = SNAPSHOT_STRIDE;
+        }
+        schedule.extend(reuse.points[..j].iter().map(|h| h.decision));
+
+        let mut base = None;
+        if reuse.live > 0 {
+            let snap = &reuse.snaps[reuse.live - 1];
+            base = pool.acquire_copy(&mut self.factory, &snap.sys);
+            if base.is_none() {
+                reuse.snaps_ok = false;
+                reuse.live = 0;
+            }
+        }
+        let (mut sys, mut fair, mut prev, mut have_es, from) = match base {
+            Some(sys) => {
+                let snap = &reuse.snaps[reuse.live - 1];
+                let mut fair = reuse.spare_fair.take();
+                fair.clone_from(&snap.fair);
+                scratch
+                    .steps_since_yield
+                    .clone_from(&snap.steps_since_yield);
+                scratch.es_after.clone_from(&snap.es);
+                (sys, fair, snap.prev, true, snap.depth)
+            }
+            None => {
+                let sys = pool.acquire(&mut self.factory);
+                let fair = self.new_fair(sys.thread_count());
+                scratch.steps_since_yield.clear();
+                scratch.steps_since_yield.resize(sys.thread_count(), 0);
+                (sys, fair, None, false, 0)
+            }
+        };
+        for k in from..j {
+            load_es(&sys, scratch, have_es);
+            reuse.snapshot(k, &sys, &fair, scratch, prev, &mut self.factory);
+            advance(
+                &mut sys,
+                fair.as_mut(),
+                scratch,
+                &mut prev,
+                reuse.points[k].decision,
+            );
+            have_es = true;
+        }
+        (sys, fair, prev, have_es)
     }
 
     fn combined_fingerprint(&self, sys: &P, fair: Option<&FairScheduler>) -> u64 {
@@ -1264,5 +1789,191 @@ mod tests {
             .with_initial_stats(ckpt.stats)
             .run();
         assert_eq!(zero_wall(resumed), zero_wall(full));
+    }
+
+    /// A [`Script`] that supports pooling by cloning and counts its
+    /// steps. With `fresh_only` it refuses to copy anything but an
+    /// initial state: resets from the template work, snapshots do not.
+    #[derive(Clone)]
+    struct Pooled {
+        script: Script,
+        fresh_only: bool,
+        steps: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl TransitionSystem for Pooled {
+        fn thread_count(&self) -> usize {
+            self.script.thread_count()
+        }
+        fn enabled(&self, t: chess_kernel::ThreadId) -> bool {
+            self.script.enabled(t)
+        }
+        fn reset_from(&mut self, template: &Self) -> bool {
+            if self.fresh_only && template.script.pcs.iter().any(|&pc| pc > 0) {
+                return false;
+            }
+            self.clone_from(template);
+            true
+        }
+        fn is_yielding(&self, t: chess_kernel::ThreadId) -> bool {
+            self.script.is_yielding(t)
+        }
+        fn branching(&self, t: chess_kernel::ThreadId) -> usize {
+            self.script.branching(t)
+        }
+        fn step(&mut self, t: chess_kernel::ThreadId, choice: u32) -> chess_kernel::StepKind {
+            self.steps.set(self.steps.get() + 1);
+            self.script.step(t, choice)
+        }
+        fn footprint(&self, t: chess_kernel::ThreadId) -> chess_kernel::Footprint {
+            self.script.footprint(t)
+        }
+        fn status(&self) -> SystemStatus {
+            self.script.status()
+        }
+        fn fingerprint(&self) -> u64 {
+            self.script.fingerprint()
+        }
+        fn state_bytes(&self) -> Vec<u8> {
+            self.script.state_bytes()
+        }
+        fn describe_op(&self, t: chess_kernel::ThreadId) -> String {
+            self.script.describe_op(t)
+        }
+        fn thread_name(&self, t: chess_kernel::ThreadId) -> String {
+            self.script.thread_name(t)
+        }
+    }
+
+    /// Three threads sharing a counter, with a yield and a blocking
+    /// wait: executions are 10 transitions deep, so later ones share
+    /// prefixes long enough to snapshot.
+    fn three_scripts() -> Script {
+        Script::new(
+            vec![
+                vec![Act::Step, Act::Inc(0), Act::Step, Act::Yield],
+                vec![Act::WaitNonZero(0), Act::Dec(0), Act::Step],
+                vec![Act::Step, Act::Yield, Act::Step],
+            ],
+            1,
+        )
+    }
+
+    type ScriptStrategy = fn() -> Box<dyn Strategy>;
+
+    const SCRIPT_STRATEGIES: [ScriptStrategy; 4] = [
+        || Box::new(Dfs::new()),
+        || Box::new(Dfs::with_sleep_sets()),
+        || Box::new(crate::strategy::ContextBounded::new(1)),
+        || Box::new(RandomWalk::new(5)),
+    ];
+
+    fn zero_wall(mut r: SearchReport) -> SearchReport {
+        r.stats.wall = Duration::ZERO;
+        r
+    }
+
+    /// Systems whose `reset_from` returns `false` — the test scripts and
+    /// fuzz-generated systems — run without prefix reuse and give the
+    /// report of the from-scratch path.
+    #[test]
+    fn systems_without_reset_from_match_the_from_scratch_path() {
+        let config = Config::fair().with_max_executions(400);
+        for strategy in SCRIPT_STRATEGIES {
+            let on = Explorer::new(three_scripts, strategy(), config.clone()).run();
+            let off = Explorer::new(
+                three_scripts,
+                strategy(),
+                config.clone().with_pooling(false),
+            )
+            .run();
+            assert_eq!(zero_wall(on), zero_wall(off));
+        }
+        for seed in 0..20 {
+            let fuzz = crate::fuzz::FuzzConfig {
+                seed,
+                ..crate::fuzz::FuzzConfig::default()
+            };
+            let factory = || crate::fuzz::generate_system(&fuzz);
+            let config = Config::fair()
+                .with_max_executions(300)
+                .with_stop_on_error(false);
+            let on = Explorer::new(factory, Dfs::new(), config.clone()).run();
+            let off = Explorer::new(factory, Dfs::new(), config.with_pooling(false)).run();
+            assert_eq!(zero_wall(on), zero_wall(off), "fuzz seed {seed}");
+        }
+    }
+
+    /// With a pooled system, prefix reuse steps less than it counts and
+    /// gives the from-scratch report — also when the system refuses to
+    /// copy mid-execution states, where every execution re-steps its
+    /// prefix from the template instead, and when a thread panics.
+    #[test]
+    fn pooled_scripts_reuse_prefixes_with_the_from_scratch_report() {
+        let cases: [(fn() -> Script, Config); 3] = [
+            (three_scripts, Config::fair().with_max_executions(400)),
+            (
+                three_scripts,
+                Config::unfair()
+                    .with_depth_bound(7)
+                    .with_max_executions(400),
+            ),
+            (
+                || {
+                    Script::new(
+                        vec![
+                            vec![Act::Step, Act::Inc(0), Act::Step],
+                            vec![Act::Step, Act::WaitNonZero(0), Act::Panic],
+                            vec![Act::Step, Act::Step],
+                        ],
+                        1,
+                    )
+                },
+                Config::fair()
+                    .with_stop_on_error(false)
+                    .with_max_executions(400),
+            ),
+        ];
+        let run = |script: fn() -> Script, fresh_only, strategy: ScriptStrategy, config| {
+            let steps = std::rc::Rc::new(std::cell::Cell::new(0));
+            let counter = std::rc::Rc::clone(&steps);
+            let factory = move || Pooled {
+                script: script(),
+                fresh_only,
+                steps: std::rc::Rc::clone(&counter),
+            };
+            let report = Explorer::new(factory, strategy(), config).run();
+            (zero_wall(report), steps.get())
+        };
+        for (script, config) in cases {
+            for strategy in SCRIPT_STRATEGIES {
+                let (reference, reference_steps) =
+                    run(script, false, strategy, config.clone().with_pooling(false));
+                for fresh_only in [false, true] {
+                    let (report, steps) = run(script, fresh_only, strategy, config.clone());
+                    assert_eq!(report, reference);
+                    if fresh_only {
+                        // Every prefix is re-stepped from the template.
+                        assert_eq!(steps, reference_steps);
+                    }
+                }
+            }
+        }
+        // Snapshots pay on the deep systematic search.
+        let steps = std::rc::Rc::new(std::cell::Cell::new(0));
+        let counter = std::rc::Rc::clone(&steps);
+        let factory = move || Pooled {
+            script: three_scripts(),
+            fresh_only: false,
+            steps: std::rc::Rc::clone(&counter),
+        };
+        let report = Explorer::new(factory, Dfs::new(), Config::fair()).run();
+        assert_eq!(report.outcome, SearchOutcome::Complete);
+        assert!(
+            steps.get() < report.stats.transitions,
+            "{} steps for {} transitions",
+            steps.get(),
+            report.stats.transitions
+        );
     }
 }

@@ -63,7 +63,7 @@ pub enum PenaltyScope {
 /// // No yields yet: the scheduler is fully nondeterministic.
 /// assert_eq!(fair.schedulable(&es).len(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FairScheduler {
     /// `p[t]` is the successor set `{u | (t, u) ∈ P}`.
     p: Vec<TidSet>,
@@ -76,6 +76,33 @@ pub struct FairScheduler {
     k: u64,
     /// Penalty-edge scope (ablation; default is the paper's rule).
     scope: PenaltyScope,
+}
+
+impl Clone for FairScheduler {
+    fn clone(&self) -> Self {
+        FairScheduler {
+            p: self.p.clone(),
+            e: self.e.clone(),
+            d: self.d.clone(),
+            s: self.s.clone(),
+            yield_counts: self.yield_counts.clone(),
+            k: self.k,
+            scope: self.scope,
+        }
+    }
+
+    /// Copies `source` into `self`, reusing every set's allocation — the
+    /// explorer saves and restores scheduler states along an execution
+    /// this way.
+    fn clone_from(&mut self, source: &Self) {
+        self.p.clone_from(&source.p);
+        self.e.clone_from(&source.e);
+        self.d.clone_from(&source.d);
+        self.s.clone_from(&source.s);
+        self.yield_counts.clone_from(&source.yield_counts);
+        self.k = source.k;
+        self.scope = source.scope;
+    }
 }
 
 impl FairScheduler {

@@ -23,7 +23,7 @@ struct Frame {
 
 impl Frame {
     fn current(&self) -> Decision {
-        self.options[self.sleep.live[self.sleep.cursor]]
+        self.options[self.sleep.current()]
     }
 }
 
@@ -207,8 +207,8 @@ impl Strategy for ContextBounded {
             // scratch for the next fill.
             let mut frame = self.pool.pop().unwrap_or_default();
             std::mem::swap(&mut frame.options, &mut scratch.decisions);
-            std::mem::swap(&mut frame.sleep.footprints, &mut scratch.footprints);
             let alive = if self.reduction.is_on() {
+                std::mem::swap(frame.sleep.footprints_mut(), &mut scratch.footprints);
                 let parent = self.stack.last();
                 frame.sleep.rederive(
                     &frame.options,
@@ -240,7 +240,7 @@ impl Strategy for ContextBounded {
     fn on_execution_end(&mut self) -> bool {
         while let Some(last) = self.stack.last_mut() {
             last.sleep.cursor += 1;
-            if last.sleep.cursor < last.sleep.live.len() {
+            if last.sleep.cursor < last.sleep.live_len() {
                 return true;
             }
             let frame = self.stack.pop().expect("last_mut saw a frame");
@@ -276,7 +276,7 @@ impl Strategy for ContextBounded {
                 .iter()
                 .map(|f| FrameSnapshot {
                     options: f.options.clone(),
-                    index: f.sleep.live[f.sleep.cursor],
+                    index: f.sleep.current(),
                 })
                 .collect(),
             horizon: self.horizon,

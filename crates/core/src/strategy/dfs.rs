@@ -17,15 +17,12 @@ use crate::trace::Decision;
 struct Frame {
     options: Vec<Decision>,
     sleep: SleepFrame,
-    /// Scratch for the exploration-order permutation, kept on the frame
-    /// so recycled frames reuse its buffer.
-    perm: Vec<usize>,
 }
 
 impl Frame {
     /// The decision the current execution takes at this frame.
     fn current(&self) -> Decision {
-        self.options[self.sleep.live[self.sleep.cursor]]
+        self.options[self.sleep.current()]
     }
 }
 
@@ -65,6 +62,8 @@ pub struct Dfs {
     /// no per-frame allocations (options, footprints, sleep entries and
     /// their access vectors are all reused in place).
     pool: Vec<Frame>,
+    /// Scratch for the exploration-order permutation.
+    perm: Vec<usize>,
 }
 
 impl Dfs {
@@ -78,6 +77,7 @@ impl Dfs {
             prefer_continuation: false,
             reduction: Reduction::None,
             pool: Vec::new(),
+            perm: Vec::new(),
         }
     }
 
@@ -206,12 +206,17 @@ impl Strategy for Dfs {
         } else {
             debug_assert_eq!(point.depth, self.stack.len());
             let mut frame = self.pool.pop().unwrap_or_default();
+            let mut unused = Vec::new();
             ordered_into(
                 point,
                 self.prefer_continuation,
-                &mut frame.perm,
+                &mut self.perm,
                 &mut frame.options,
-                &mut frame.sleep.footprints,
+                if self.reduction.is_on() {
+                    frame.sleep.footprints_mut()
+                } else {
+                    &mut unused
+                },
             );
             let alive = if self.reduction.is_on() {
                 let parent = self.stack.last();
@@ -241,7 +246,7 @@ impl Strategy for Dfs {
     fn on_execution_end(&mut self) -> bool {
         while let Some(last) = self.stack.last_mut() {
             last.sleep.cursor += 1;
-            if last.sleep.cursor < last.sleep.live.len() {
+            if last.sleep.cursor < last.sleep.live_len() {
                 return true;
             }
             let frame = self.stack.pop().expect("last_mut saw a frame");
@@ -279,7 +284,7 @@ impl Strategy for Dfs {
                 .iter()
                 .map(|f| FrameSnapshot {
                     options: f.options.clone(),
-                    index: f.sleep.live[f.sleep.cursor],
+                    index: f.sleep.current(),
                 })
                 .collect(),
             horizon: self.horizon,
@@ -313,7 +318,6 @@ impl Strategy for Dfs {
                 Frame {
                     options: f.options.clone(),
                     sleep,
-                    perm: Vec::new(),
                 }
             })
             .collect();

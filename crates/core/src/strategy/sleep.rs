@@ -91,46 +91,80 @@ fn set_entry(dst: &mut Vec<SleepEntry>, n: &mut usize, d: Decision, fp: &Footpri
 
 /// One backtracking frame's sleep-set state.
 ///
-/// With reduction off this is inert: `live` is the identity permutation
-/// over the frame's options and everything else is empty, so the frame
-/// behaves exactly like the pre-reduction `(options, index)` pair.
+/// An *inert* frame (reduction off) stores no sleep state at all: every
+/// option is live, in order, so the frame is just a cursor over its
+/// option count and behaves exactly like the pre-reduction `(options,
+/// index)` pair. Only a reduced frame carries the boxed [`Reduced`]
+/// state, which keeps the frames of an unreduced search — one per
+/// depth of the current execution — a few words each.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SleepFrame {
+    /// Sleep-set state; `None` for an inert frame.
+    reduced: Option<Box<Reduced>>,
+    /// Number of options of an inert frame (all of them live).
+    options: usize,
+    /// Position, among the live options, of the decision the current
+    /// execution takes.
+    pub cursor: usize,
+}
+
+/// The sleep-set state of a reduced frame.
+#[derive(Debug, Clone, Default)]
+struct Reduced {
     /// Footprints parallel to the frame's (ordered) options. Empty when
     /// the explorer did not supply footprints; every option is then
     /// treated as universal (no pruning).
-    pub footprints: Vec<Footprint>,
+    footprints: Vec<Footprint>,
     /// Decisions asleep on arrival at this node.
-    pub sleep: Vec<SleepEntry>,
+    sleep: Vec<SleepEntry>,
     /// Indices (into the frame's options) that are awake and will be
     /// explored, in exploration order.
-    pub live: Vec<usize>,
-    /// Position within `live` of the decision the current execution takes.
-    pub cursor: usize,
+    live: Vec<usize>,
     /// Whether the fairness priority filtered the enabled set at this
     /// node (disables pruning and propagation, see the module docs).
-    pub fairness_filtered: bool,
+    fairness_filtered: bool,
 }
 
 impl SleepFrame {
-    /// An inert frame over `n` options: identity `live`, no sleep state.
+    /// An inert frame over `n` options: every option live, no sleep
+    /// state.
     pub fn inert(n: usize) -> Self {
         SleepFrame {
-            live: (0..n).collect(),
+            options: n,
             ..SleepFrame::default()
         }
     }
 
-    /// Resets this frame to the inert state over `n` options: identity
-    /// `live`, no sleep state. Reuses the frame's buffers — the pooled
-    /// counterpart of [`SleepFrame::inert`].
+    /// Resets this frame to the inert state over `n` options — the
+    /// in-place counterpart of [`SleepFrame::inert`] for recycled frames.
     pub fn make_inert(&mut self, n: usize) {
-        self.footprints.clear();
-        self.sleep.clear();
-        self.live.clear();
-        self.live.extend(0..n);
+        self.reduced = None;
+        self.options = n;
         self.cursor = 0;
-        self.fairness_filtered = false;
+    }
+
+    /// Number of options this frame will explore.
+    pub fn live_len(&self) -> usize {
+        match &self.reduced {
+            Some(r) => r.live.len(),
+            None => self.options,
+        }
+    }
+
+    /// Index (into the frame's options) of the decision the current
+    /// execution takes.
+    pub fn current(&self) -> usize {
+        match &self.reduced {
+            Some(r) => r.live[self.cursor],
+            None => self.cursor,
+        }
+    }
+
+    /// The footprint buffer of a reduced frame, for the strategy to fill
+    /// with the footprints parallel to the frame's options before
+    /// [`SleepFrame::rederive`]. Makes the frame reduced.
+    pub fn footprints_mut(&mut self) -> &mut Vec<Footprint> {
+        &mut self.reduced.get_or_insert_with(Box::default).footprints
     }
 
     /// Builds the sleep state for a new frame whose ordered options and
@@ -152,10 +186,8 @@ impl SleepFrame {
         parent_options: Option<&[Decision]>,
         point: &SchedulePoint<'_>,
     ) -> Option<Self> {
-        let mut frame = SleepFrame {
-            footprints,
-            ..SleepFrame::default()
-        };
+        let mut frame = SleepFrame::default();
+        *frame.footprints_mut() = footprints;
         let parent = match (parent, parent_options) {
             (Some(p), Some(po)) => Some((p, po)),
             _ => None,
@@ -164,12 +196,11 @@ impl SleepFrame {
     }
 
     /// [`SleepFrame::derive`] in place: re-initializes this (typically
-    /// recycled) frame's sleep state, reusing its `sleep` and `live`
-    /// buffers. The caller must have already filled `self.footprints`
-    /// with the footprints parallel to `options` (or cleared it when the
-    /// point carries none). Returns `false` when every option is asleep
-    /// — the caller must abandon the execution without pushing the
-    /// frame.
+    /// recycled) frame's sleep state, reusing its buffers. The caller
+    /// must have already filled [`SleepFrame::footprints_mut`] with the
+    /// footprints parallel to `options` (or cleared it when the point
+    /// carries none). Returns `false` when every option is asleep — the
+    /// caller must abandon the execution without pushing the frame.
     pub fn rederive(
         &mut self,
         options: &[Decision],
@@ -177,12 +208,14 @@ impl SleepFrame {
         point: &SchedulePoint<'_>,
     ) -> bool {
         self.cursor = 0;
-        self.fairness_filtered = point.fairness_filtered;
+        self.options = options.len();
+        let r = self.reduced.get_or_insert_with(Box::default);
+        r.fairness_filtered = point.fairness_filtered;
         let mut n = 0;
         if let Some((p, po)) = parent {
-            p.child_sleep_into(po, &mut self.sleep, &mut n);
+            p.child_sleep_into(po, &mut r.sleep, &mut n);
         }
-        self.sleep.truncate(n);
+        r.sleep.truncate(n);
         // Staleness check: a sleeping entry's footprint was recorded when
         // it went to sleep, and pruning relies on it still describing the
         // decision's transition now. That holds because any step that
@@ -192,11 +225,11 @@ impl SleepFrame {
         // with the sleeping flush. Debug builds verify the recorded
         // footprint against the current one instead of trusting this.
         #[cfg(debug_assertions)]
-        if !self.footprints.is_empty() {
-            for (z, fp) in &self.sleep {
+        if !r.footprints.is_empty() {
+            for (z, fp) in &r.sleep {
                 if let Some(i) = options.iter().position(|o| o == z) {
                     debug_assert_eq!(
-                        &self.footprints[i], fp,
+                        &r.footprints[i], fp,
                         "stale sleeping footprint for {z:?}: a step changed this \
                          decision's transition without waking it (every such step \
                          must conflict with the sleeping entry)"
@@ -204,36 +237,40 @@ impl SleepFrame {
                 }
             }
         }
-        self.live.clear();
-        if point.fairness_filtered || self.sleep.is_empty() {
-            self.live.extend(0..options.len());
+        r.live.clear();
+        if point.fairness_filtered || r.sleep.is_empty() {
+            r.live.extend(0..options.len());
         } else {
-            self.live.extend(
-                (0..options.len()).filter(|&i| !self.sleep.iter().any(|(z, _)| *z == options[i])),
+            let sleep = &r.sleep;
+            r.live.extend(
+                (0..options.len()).filter(|&i| !sleep.iter().any(|(z, _)| *z == options[i])),
             );
         }
-        !self.live.is_empty()
+        !r.live.is_empty()
     }
 
     /// The sleep set for the child reached by this frame's current edge,
     /// written into `out[..n]` (slots reused, caller truncates):
     /// surviving inherited entries plus already-explored independent
-    /// siblings. Writes nothing when this node is fairness-exempt or
-    /// footprints were not supplied.
+    /// siblings. Writes nothing when this frame is inert, when this node
+    /// is fairness-exempt, or when footprints were not supplied.
     fn child_sleep_into(&self, options: &[Decision], out: &mut Vec<SleepEntry>, n: &mut usize) {
-        if self.fairness_filtered || self.footprints.is_empty() {
+        let Some(r) = &self.reduced else {
+            return;
+        };
+        if r.fairness_filtered || r.footprints.is_empty() {
             return;
         }
-        let taken = self.live[self.cursor];
-        let taken_fp = &self.footprints[taken];
-        for (z, fp) in &self.sleep {
+        let taken = r.live[self.cursor];
+        let taken_fp = &r.footprints[taken];
+        for (z, fp) in &r.sleep {
             if !fp.dependent(taken_fp) {
                 set_entry(out, n, *z, fp);
             }
         }
-        for &j in &self.live[..self.cursor] {
-            if !self.footprints[j].dependent(taken_fp) {
-                set_entry(out, n, options[j], &self.footprints[j]);
+        for &j in &r.live[..self.cursor] {
+            if !r.footprints[j].dependent(taken_fp) {
+                set_entry(out, n, options[j], &r.footprints[j]);
             }
         }
     }
@@ -247,6 +284,23 @@ impl SleepFrame {
         self.child_sleep_into(options, &mut out, &mut n);
         out.truncate(n);
         out
+    }
+
+    /// The live option indices, in exploration order (unit tests).
+    #[cfg(test)]
+    fn live(&self) -> Vec<usize> {
+        (0..self.live_len())
+            .map(|c| match &self.reduced {
+                Some(r) => r.live[c],
+                None => c,
+            })
+            .collect()
+    }
+
+    /// Replaces the frame's sleep set (unit tests).
+    #[cfg(test)]
+    fn set_sleep(&mut self, sleep: Vec<SleepEntry>) {
+        self.reduced.get_or_insert_with(Box::default).sleep = sleep;
     }
 }
 
@@ -284,7 +338,7 @@ mod tests {
         let fps = vec![wfp(0), wfp(1)];
         let mut parent =
             SleepFrame::derive(&options, fps, None, None, &point(&options, &[])).unwrap();
-        assert_eq!(parent.live, vec![0, 1]);
+        assert_eq!(parent.live(), vec![0, 1]);
         parent.cursor = 1; // exploring d(1); d(0) was explored first
         let child = parent.child_sleep(&options);
         assert_eq!(child.len(), 1);
@@ -298,7 +352,7 @@ mod tests {
             &point(&options, &[]),
         )
         .unwrap();
-        assert_eq!(g.live, vec![1], "sleeping d(0) must not be explored");
+        assert_eq!(g.live(), vec![1], "sleeping d(0) must not be explored");
     }
 
     #[test]
@@ -322,7 +376,7 @@ mod tests {
             &point(&options, &[]),
         )
         .unwrap();
-        parent.sleep = vec![(d(2), wfp(1))]; // asleep, footprint on c1
+        parent.set_sleep(vec![(d(2), wfp(1))]); // asleep, footprint on c1
         parent.cursor = 1; // taking d(1), which writes c1: dependent
         let child = parent.child_sleep(&options);
         assert!(
@@ -344,9 +398,9 @@ mod tests {
         fair_point.fairness_filtered = true;
         let mut parent =
             SleepFrame::derive(&options, vec![wfp(0), wfp(1)], None, None, &fair_point).unwrap();
-        parent.sleep = vec![(d(0), wfp(9))];
+        parent.set_sleep(vec![(d(0), wfp(9))]);
         // No pruning: d(0) stays live despite being asleep.
-        assert_eq!(parent.live, vec![0, 1]);
+        assert_eq!(parent.live(), vec![0, 1]);
         parent.cursor = 1;
         // No propagation either.
         assert!(parent.child_sleep(&options).is_empty());
@@ -357,7 +411,7 @@ mod tests {
         let options = [d(0)];
         let mut parent =
             SleepFrame::derive(&options, vec![wfp(0)], None, None, &point(&options, &[])).unwrap();
-        parent.sleep = vec![(d(0), wfp(0))];
+        parent.set_sleep(vec![(d(0), wfp(0))]);
         // Re-derive a child whose only option is asleep.
         let mut upper = SleepFrame::derive(
             &[d(0), d(1)],
@@ -368,7 +422,7 @@ mod tests {
         )
         .unwrap();
         upper.cursor = 1;
-        upper.sleep = vec![(d(0), wfp(0))];
+        upper.set_sleep(vec![(d(0), wfp(0))]);
         let child = SleepFrame::derive(
             &options,
             vec![wfp(0)],

@@ -119,10 +119,24 @@ impl<A: Capture, B: Capture, C: Capture> Capture for (A, B, C) {
 /// The full byte vector is the exact state signature (used for visited
 /// sets where collisions must not conflate states); the fingerprint is a
 /// cheap 64-bit summary.
-#[derive(Clone)]
 pub struct StateWriter {
     bytes: Vec<u8>,
     hash: u64,
+}
+
+impl Clone for StateWriter {
+    fn clone(&self) -> Self {
+        StateWriter {
+            bytes: self.bytes.clone(),
+            hash: self.hash,
+        }
+    }
+
+    // Reuses the byte buffer (see `Kernel::reset_from`).
+    fn clone_from(&mut self, source: &Self) {
+        self.bytes.clone_from(&source.bytes);
+        self.hash = source.hash;
+    }
 }
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -231,6 +231,24 @@ impl FpCache {
         self.ops_dirty.resize(threads, false);
     }
 
+    /// Copies `src` into `self`, reusing the writers' buffers: the cache
+    /// of a kernel reset from `src`'s kernel stays as warm as `src`'s.
+    fn copy_from(&mut self, src: &FpCache) {
+        self.enabled = src.enabled;
+        self.shared.clone_from(&src.shared);
+        self.threads.clone_from(&src.threads);
+        self.thread_ops.clone_from(&src.thread_ops);
+        self.pending.clone_from(&src.pending);
+        self.seg_hash.clone_from(&src.seg_hash);
+        self.objects.clone_from(&src.objects);
+        self.buffers.clone_from(&src.buffers);
+        self.shared_dirty = src.shared_dirty;
+        self.threads_dirty.clone_from(&src.threads_dirty);
+        self.ops_dirty.clone_from(&src.ops_dirty);
+        self.objects_dirty = src.objects_dirty;
+        self.buffers_dirty = src.buffers_dirty;
+    }
+
     /// The shared state (may have) changed: its segment is stale, and so
     /// is every thread segment's op tail — pending ops are
     /// `next_op(&shared)`. The locals captures stay good.
@@ -1321,7 +1339,8 @@ impl<S: Clone> Kernel<S> {
     /// object tables, buffer queues, name strings, cache writers).
     ///
     /// This is the allocation-pooling path behind the explorer's
-    /// per-execution reset: behaviorally it is exactly
+    /// per-execution reset and its prefix snapshots: behaviorally it is
+    /// exactly
     /// `*self = template.clone()`, which the `reset_from` tests pin. The
     /// guest boxes themselves are re-cloned — trait objects cannot be
     /// reset in place — so the per-execution cost drops to one small
@@ -1347,14 +1366,26 @@ impl<S: Clone> Kernel<S> {
         self.violation.clone_from(&template.violation);
         self.stats = template.stats;
         self.validate_effects = template.validate_effects;
-        let enabled = template.fp_cache.borrow().enabled;
         let n = self.threads.len();
+        let src_cache = template.fp_cache.borrow();
+        let src_memo = template.op_memo.borrow();
         let cache = self.fp_cache.get_mut();
-        cache.enabled = enabled;
-        cache.invalidate_all(n);
         let memo = self.op_memo.get_mut();
-        memo.enabled = enabled;
-        memo.invalidate_all(n);
+        memo.enabled = src_memo.enabled;
+        if src_cache.threads.len() == n {
+            // The template's caches describe the state just copied, so
+            // they are copied too: the first fingerprint after a reset
+            // from a mid-execution snapshot stays incremental.
+            cache.copy_from(&src_cache);
+            memo.ops.clone_from(&src_memo.ops);
+        } else {
+            // A template never queried (the pristine execution
+            // template): invalidate in place, keeping this instance's
+            // writer buffers for the execution ahead.
+            cache.enabled = src_cache.enabled;
+            cache.invalidate_all(n);
+            memo.invalidate_all(n);
+        }
     }
 }
 
@@ -2342,6 +2373,32 @@ mod tests {
         }
         assert_eq!(p.status(), KernelStatus::Terminated);
         assert_eq!(*p.shared(), *f.shared());
+    }
+
+    /// A reset from a mid-execution kernel whose caches are warm copies
+    /// those caches: every later fingerprint must still equal a fresh
+    /// canonicalization, and the copy must evolve like the original.
+    #[test]
+    fn reset_from_a_warm_kernel_keeps_fingerprints_exact() {
+        let (mut snapshot, a, b) = two_lockers();
+        snapshot.step(a, 0);
+        let _ = snapshot.fingerprint();
+        snapshot.step(a, 0);
+        let (mut pooled, _, _) = two_lockers();
+        pooled.step(b, 0);
+        let _ = pooled.fingerprint();
+        pooled.reset_from(&snapshot);
+        assert_eq!(pooled.fingerprint(), snapshot.fresh_fingerprint());
+        let mut original = snapshot.clone();
+        for t in [a, b, b, b] {
+            pooled.step(t, 0);
+            original.step(t, 0);
+            assert_eq!(pooled.fingerprint(), pooled.fresh_fingerprint());
+            assert_eq!(pooled.fingerprint(), original.fingerprint());
+        }
+        let mut bytes = Vec::new();
+        pooled.state_bytes_into(&mut bytes);
+        assert_eq!(bytes, original.capture_state().as_bytes());
     }
 
     #[test]

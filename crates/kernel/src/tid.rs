@@ -68,9 +68,23 @@ impl From<ThreadId> for usize {
 /// assert!(s.contains(ThreadId::new(70)));
 /// assert_eq!(s.len(), 2);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Default, PartialEq, Eq, Hash)]
 pub struct TidSet {
     words: Vec<u64>,
+}
+
+impl Clone for TidSet {
+    fn clone(&self) -> Self {
+        TidSet {
+            words: self.words.clone(),
+        }
+    }
+
+    // Reuses the word buffer: the explorer copies scheduler state into
+    // pooled snapshots on its hot path.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl TidSet {
